@@ -783,7 +783,10 @@ fn run_http_soak(quick: bool) -> HttpSoak {
         seed: 0xc4a0_55ed,
     };
     let mut w = generate_federation(&spec);
-    w.planner.enable_partition_cache(CacheConfig::default());
+    // Every soak query was parsed into `w.interner` up front and is
+    // planned with it, so all of its symbols are shared.
+    w.planner
+        .enable_partition_cache(CacheConfig::default(), w.interner.symbol_bound());
     let mut seeds = Rng::new(spec.seed);
     let exec_seed = seeds.next_u64();
     let fault_seed = seeds.next_u64();

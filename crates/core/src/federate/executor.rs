@@ -1,9 +1,16 @@
 //! Concurrent federated execution with deadlines, retries, and breakers.
 //!
 //! [`FederatedExecutor::execute`] dispatches one [`EndpointPlan`] per
-//! endpoint across a hand-rolled `thread::scope` pool (no async runtime):
-//! workers claim endpoints off an atomic cursor, so up to
-//! [`ExecutorConfig::n_threads`] subqueries are in flight at once.
+//! endpoint without spawning a thread per request (and without an async
+//! runtime). The calling thread and helpers from the executor's
+//! persistent pool claim endpoints off one atomic cursor, so at most
+//! [`ExecutorConfig::n_threads`] subqueries are in flight per call, the
+//! caller included. Helpers are spawned only when a call finds too few free,
+//! so the pool grows to peak demand and then creates no threads; dropping
+//! the executor joins them. Transports may borrow (no `'static` bound):
+//! `execute` neither returns nor unwinds before every helper that took
+//! part has let go of its borrows — see the `pool` module's SAFETY
+//! argument.
 //!
 //! Each endpoint call runs the full resilience ladder on a **virtual
 //! clock** (see the module docs on [`super`]): the breaker is consulted,
@@ -17,8 +24,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread;
 
+use super::pool::Pool;
 use super::{
     mix_chain, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, EndpointOutcome,
     EndpointPlan, EndpointReport, EndpointTransport, FederatedResult, TransportError,
@@ -28,8 +35,11 @@ use super::{
 /// Executor tuning knobs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ExecutorConfig {
-    /// Worker threads for concurrent endpoint dispatch (clamped to the
-    /// number of endpoints in the plan, min 1).
+    /// At most this many subqueries in flight per
+    /// [`FederatedExecutor::execute`], the calling thread included
+    /// (clamped to the number of endpoints in the plan, min 1). The caller
+    /// dispatches too; the other `n_threads - 1` come from the executor's
+    /// persistent helper pool.
     pub n_threads: usize,
     /// Overall per-endpoint deadline for one execution, in virtual
     /// nanoseconds; attempts and backoff must fit inside it.
@@ -79,6 +89,7 @@ pub struct FederatedExecutor<T> {
     /// Transport panics contained at the pool boundary (see
     /// [`FederatedExecutor::caught_panics`]).
     panics: AtomicU64,
+    pool: Pool,
 }
 
 impl<T: EndpointTransport> FederatedExecutor<T> {
@@ -99,6 +110,7 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
             config,
             runtimes,
             panics: AtomicU64::new(0),
+            pool: Pool::new(),
         }
     }
 
@@ -108,6 +120,13 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
 
     pub fn config(&self) -> &ExecutorConfig {
         &self.config
+    }
+
+    /// Helper threads the executor's pool has spawned. Flat in steady
+    /// state: it grows only to the peak number of helpers concurrent
+    /// `execute` calls have needed at once.
+    pub fn helper_threads(&self) -> usize {
+        self.pool.threads()
     }
 
     /// Transport panics caught at the pool boundary and degraded to
@@ -154,38 +173,22 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
     /// per endpoint in plan order. Never panics on endpoint failure — every
     /// fault degrades to a structured [`EndpointOutcome`].
     pub fn execute(&self, plans: &[EndpointPlan]) -> FederatedResult {
-        if plans.is_empty() {
-            return FederatedResult::default();
-        }
-        let n_workers = self.config.n_threads.clamp(1, plans.len());
         let slots: Vec<Mutex<Option<EndpointReport>>> =
             plans.iter().map(|_| Mutex::new(None)).collect();
-        if n_workers == 1 {
-            for (slot, plan) in slots.iter().zip(plans) {
-                *slot.lock().unwrap() = Some(self.run_endpoint(plan));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            thread::scope(|s| {
-                for _ in 0..n_workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= plans.len() {
-                            break;
-                        }
-                        let report = self.run_endpoint(&plans[i]);
-                        *slots[i].lock().unwrap() = Some(report);
-                    });
-                }
-            });
-        }
+        let next = AtomicUsize::new(0);
+        let in_flight = self.config.n_threads.clamp(1, plans.len().max(1));
+        self.pool.run(in_flight - 1, &|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(plan) = plans.get(i) else { break };
+            *slots[i].lock().unwrap() = Some(self.run_endpoint(plan));
+        });
         FederatedResult {
             reports: slots
                 .into_iter()
                 .map(|m| {
                     m.into_inner()
                         .unwrap()
-                        .expect("every claimed slot is filled before scope exit")
+                        .expect("every claimed slot is filled before the pool returns")
                 })
                 .collect(),
         }
@@ -553,6 +556,88 @@ mod tests {
             "endpoint unusable after contained panics: {:?}",
             result.reports[0].outcome
         );
+    }
+
+    /// Replies from data on the test's stack: the transport is not
+    /// `'static`, which the executor must accept.
+    struct BorrowingTransport<'a> {
+        tag: &'a str,
+    }
+
+    impl EndpointTransport for BorrowingTransport<'_> {
+        fn execute(&self, req: &TransportRequest<'_>) -> TransportReply {
+            std::thread::yield_now();
+            TransportReply {
+                latency_nanos: 1_000_000,
+                payload: Ok(format!(
+                    "{}/ep{}/{}",
+                    self.tag,
+                    req.endpoint.0,
+                    req.query.len()
+                )),
+            }
+        }
+    }
+
+    #[test]
+    fn borrowing_transport_serves_concurrent_callers_like_one_thread() {
+        let tag = String::from("stack-owned");
+        let plans: Vec<_> = (0..6).map(plan_for).collect();
+        let solo = FederatedExecutor::new(
+            BorrowingTransport { tag: &tag },
+            6,
+            ExecutorConfig::default(),
+        );
+        let expected = solo.execute(&plans).canonical_text();
+        let shared = FederatedExecutor::new(
+            BorrowingTransport { tag: &tag },
+            6,
+            ExecutorConfig::default(),
+        );
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        assert_eq!(shared.execute(&plans).canonical_text(), expected);
+                    }
+                });
+            }
+        });
+        let cap = 4 * (ExecutorConfig::default().n_threads - 1);
+        assert!(
+            shared.helper_threads() <= cap,
+            "{} helpers",
+            shared.helper_threads()
+        );
+    }
+
+    #[test]
+    fn steady_state_executes_spawn_no_threads() {
+        let ex = executor(vec![FaultSpec::default(); 4], ExecutorConfig::default());
+        let plans: Vec<_> = (0..4).map(plan_for).collect();
+        ex.execute(&plans);
+        let warmed = ex.helper_threads();
+        assert!(warmed <= 3, "{warmed} helpers for 3 helper slots");
+        for _ in 0..1000 {
+            assert!(ex.execute(&plans).is_complete());
+        }
+        assert_eq!(
+            ex.helper_threads(),
+            warmed,
+            "a steady-state execute spawned"
+        );
+    }
+
+    #[test]
+    fn one_thread_config_never_spawns() {
+        let cfg = ExecutorConfig {
+            n_threads: 1,
+            ..ExecutorConfig::default()
+        };
+        let ex = executor(vec![FaultSpec::default(); 4], cfg);
+        let plans: Vec<_> = (0..4).map(plan_for).collect();
+        assert!(ex.execute(&plans).is_complete());
+        assert_eq!(ex.helper_threads(), 0);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //!    [`PatternNode::Service`]-annotated block of the combined federated
 //!    query.
 //! 3. **Execute** ([`FederatedExecutor`]): subqueries are dispatched
-//!    concurrently on a hand-rolled thread pool over a pluggable
-//!    [`EndpointTransport`]. Every endpoint call is wrapped in the full
-//!    resilience kit — a per-request deadline with budget propagation into
-//!    the transport, bounded retries with seeded jittered exponential
-//!    backoff ([`BackoffPolicy`]), and a per-endpoint
+//!    concurrently — the calling thread plus a persistent helper pool —
+//!    over a pluggable [`EndpointTransport`]. Every endpoint call is
+//!    wrapped in the full resilience kit — a per-request deadline with
+//!    budget propagation into the transport, bounded retries with seeded
+//!    jittered exponential backoff ([`BackoffPolicy`]), and a per-endpoint
 //!    closed/open/half-open [`CircuitBreaker`] — and degrades to a
 //!    deterministic [`FederatedResult`] carrying a per-endpoint
 //!    [`EndpointOutcome`] (served / timed-out / circuit-open /
@@ -46,6 +46,7 @@ mod breaker;
 pub mod chaos;
 mod executor;
 mod http;
+mod pool;
 mod transport;
 
 pub use backoff::BackoffPolicy;
@@ -236,6 +237,9 @@ struct PlannerEndpoint {
 /// serve cache.
 struct PartitionCache {
     cache: RewriteCache,
+    /// Symbols below this id mean the same string in every interner the
+    /// planner is called with; see [`FederationPlanner::enable_partition_cache`].
+    shared_bound: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -318,9 +322,19 @@ impl FederationPlanner {
 
     /// Memoize rendered partition rewrites (see the type docs). Call once
     /// during the build phase; planning stays `&self`.
-    pub fn enable_partition_cache(&mut self, config: CacheConfig) {
+    ///
+    /// `shared_symbol_bound` is the [`Interner::symbol_bound`] of the
+    /// interner every caller's resolver was cloned from, taken at clone
+    /// time. Ids below it name the same string in every clone and are
+    /// keyed as ids; ids past it are private to one clone (two workers can
+    /// give different new variables the same id), so they are keyed on
+    /// their resolved text.
+    ///
+    /// [`Interner::symbol_bound`]: crate::interner::Interner::symbol_bound
+    pub fn enable_partition_cache(&mut self, config: CacheConfig, shared_symbol_bound: usize) {
         self.cache = Some(PartitionCache {
             cache: RewriteCache::new(config),
+            shared_bound: shared_symbol_bound,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         });
@@ -354,13 +368,31 @@ impl FederationPlanner {
     }
 
     /// Cache key of endpoint `e`'s partition: the endpoint id and every
-    /// triple's interned term bits, chain-mixed. Interner symbols are
-    /// process-stable, which is exactly the lifetime of the cache.
-    fn partition_fingerprint(&self, e: usize, part: &[TriplePattern]) -> QueryFingerprint {
+    /// triple's terms, chain-mixed. A term whose symbol is shared by every
+    /// caller's interner is absorbed as its packed bits; one past the
+    /// cache's shared bound is absorbed as its kind and resolved text.
+    fn partition_fingerprint<R: Resolve>(
+        &self,
+        e: usize,
+        part: &[TriplePattern],
+        resolver: &R,
+    ) -> QueryFingerprint {
+        let shared = self.cache.as_ref().map_or(0, |pc| pc.shared_bound);
         let mut h = mix_chain(0x7a57_11f0_5eed_cafe, &[e as u64, part.len() as u64]);
         for tp in part {
             for t in tp.terms() {
-                h = mix64(h ^ t.raw() as u64);
+                if t.symbol().index() < shared {
+                    h = mix64(h ^ t.raw() as u64);
+                    continue;
+                }
+                let text = resolver.resolve(t.symbol()).as_bytes();
+                // Bit 63 keeps this header apart from any packed term.
+                h = mix64(h ^ (1 << 63) ^ ((text.len() as u64) << 3) ^ t.kind() as u64);
+                for chunk in text.chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    h = mix64(h ^ u64::from_le_bytes(word));
+                }
             }
         }
         QueryFingerprint::from_parts(h, part.len() as u32)
@@ -486,7 +518,7 @@ impl FederationPlanner {
             let mut subquery = String::new();
             let key = self.cache.as_ref().map(|_| {
                 (
-                    self.partition_fingerprint(e, &p.parts[e]),
+                    self.partition_fingerprint(e, &p.parts[e], resolver),
                     self.endpoint_generation(e),
                 )
             });
@@ -560,7 +592,7 @@ impl FederationPlanner {
             // so the cache is only written here — warming dispatch-path
             // lookups — never consulted.
             if let Some(pc) = &self.cache {
-                let fp = self.partition_fingerprint(e, &parts[e]);
+                let fp = self.partition_fingerprint(e, &parts[e], resolver);
                 pc.cache
                     .insert(fp, self.endpoint_generation(e), subquery.as_bytes());
             }
@@ -871,14 +903,14 @@ mod tests {
         // The same triples must hash to different cache keys per endpoint:
         // each endpoint rewrites them into a different vocabulary.
         assert_ne!(
-            planner.partition_fingerprint(0, &tps),
-            planner.partition_fingerprint(1, &tps)
+            planner.partition_fingerprint(0, &tps, &it),
+            planner.partition_fingerprint(1, &tps, &it)
         );
         // And the fingerprint is order- and content-sensitive.
         let rev: Vec<_> = tps.iter().rev().copied().collect();
         assert_ne!(
-            planner.partition_fingerprint(0, &tps),
-            planner.partition_fingerprint(0, &rev)
+            planner.partition_fingerprint(0, &tps, &it),
+            planner.partition_fingerprint(0, &rev, &it)
         );
     }
 
@@ -886,7 +918,7 @@ mod tests {
     fn dispatch_plan_serves_hot_partitions_from_the_cache() {
         let mut it = Interner::new();
         let mut planner = two_endpoint_planner(&mut it);
-        planner.enable_partition_cache(crate::cache::CacheConfig::default());
+        planner.enable_partition_cache(crate::cache::CacheConfig::default(), it.symbol_bound());
         let query = parse_query(
             "SELECT * WHERE { ?s <http://a/p0> ?x . ?s <http://b/p1> ?y }",
             &mut it,
@@ -925,10 +957,44 @@ mod tests {
     }
 
     #[test]
+    fn worker_private_symbols_never_share_a_cached_partition() {
+        let mut it = Interner::new();
+        let mut planner = two_endpoint_planner(&mut it);
+        let uncached = two_endpoint_planner(&mut Interner::new());
+        planner.enable_partition_cache(crate::cache::CacheConfig::default(), it.symbol_bound());
+        // Two workers' clones: each mints its query's new variables at the
+        // same ids, for different names.
+        let (mut wa, mut wb) = (it.clone(), it.clone());
+        let qa = parse_query("SELECT * WHERE { ?alpha <http://a/p1> ?beta }", &mut wa).unwrap();
+        let qb = parse_query("SELECT * WHERE { ?gamma <http://a/p1> ?delta }", &mut wb).unwrap();
+        assert_eq!(
+            qa.pattern.triples, qb.pattern.triples,
+            "same ids, different names"
+        );
+        let texts = |p: &DispatchPlan| -> Vec<String> {
+            p.endpoints.iter().map(|e| e.subquery.clone()).collect()
+        };
+        let lim = RewriteLimits::unbounded();
+        for _ in 0..2 {
+            for (q, w) in [(&qa, &wa), (&qb, &wb)] {
+                let cached = planner.plan_for_dispatch(q.as_ref(), w, lim).unwrap();
+                let fresh = uncached.plan_for_dispatch(q.as_ref(), w, lim).unwrap();
+                assert_eq!(texts(&cached), texts(&fresh));
+            }
+        }
+        let stats = planner.partition_cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (2, 2),
+            "each worker hits its own entry"
+        );
+    }
+
+    #[test]
     fn store_replacement_invalidates_cached_partitions() {
         let mut it = Interner::new();
         let mut planner = two_endpoint_planner(&mut it);
-        planner.enable_partition_cache(crate::cache::CacheConfig::default());
+        planner.enable_partition_cache(crate::cache::CacheConfig::default(), it.symbol_bound());
         let query = parse_query("SELECT * WHERE { ?s <http://a/p1> ?y }", &mut it).unwrap();
 
         let before = planner
