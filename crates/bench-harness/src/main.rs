@@ -8,7 +8,6 @@
 //! cargo run --release -p bench-harness -- --quick   # small grid, short budgets
 //! cargo run --release -p bench-harness -- --out path.json
 //! cargo run --release -p bench-harness -- --filter end_to_end/group
-//! cargo run --release -p bench-harness -- --no-dense --filter rewrite   # hash-fallback A/B
 //! cargo run --release -p bench-harness -- --no-cache --filter cached    # cold-path A/B
 //! ```
 //!
@@ -149,16 +148,11 @@ fn run_config(
     name: String,
     spec: WorkloadSpec,
     strategy_linear: bool,
-    dense: bool,
 ) -> ConfigResult {
     let mut w = generate(&spec);
     let mut store = std::mem::take(&mut w.store);
-    // Freeze: lookups run on the dense direct-indexed dispatch tables
-    // (the linear baseline ignores every index either way). `--no-dense`
-    // keeps the hash fallback for A/B comparison.
-    if dense {
-        store.build_dense_index(w.interner.symbol_bound());
-    }
+    // Freeze: build the dense dispatch tables before the timed loop.
+    store.build_dense_index(w.interner.symbol_bound());
     let strategy: Box<dyn Rewriter> = if strategy_linear {
         Box::new(LinearRewriter::new(&store))
     } else {
@@ -744,7 +738,7 @@ struct HttpSoak {
     exhausted: u64,
     exhausted_permanent: u64,
     /// Aggregate injections across all proxies, indexed like
-    /// [`FaultClass::ALL`].
+    /// [`sparql_rewrite_core::FaultClass::ALL`].
     injected: [u64; 9],
     cache_hits: u64,
     cache_misses: u64,
@@ -1020,17 +1014,16 @@ fn main() {
         .position(|a| a == "--filter")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let dense = !args.iter().any(|a| a == "--no-dense");
     // --no-cache: run the end_to_end/cached/* configs with the cache
     // disabled — the A/B leg. Speedup/hit-rate gates go vacuous (there is
     // nothing to gate), and the output is marked partial.
     let cache_on = !args.iter().any(|a| a == "--no-cache");
-    // A filtered (or hash-fallback / cache-less) run produces a partial /
-    // non-standard document; without an explicit --out it must not clobber
-    // the committed full-grid BENCH_core.json.
+    // A filtered (or cache-less) run produces a partial / non-standard
+    // document; without an explicit --out it must not clobber the
+    // committed full-grid BENCH_core.json.
     let explicit_out = args.iter().any(|a| a == "--out");
-    let out_path = if !explicit_out && (filter.is_some() || !dense || !cache_on) {
-        eprintln!("note: partial run (--filter/--no-dense/--no-cache); writing BENCH_partial.json (pass --out to override)");
+    let out_path = if !explicit_out && (filter.is_some() || !cache_on) {
+        eprintln!("note: partial run (--filter/--no-cache); writing BENCH_partial.json (pass --out to override)");
         "BENCH_partial.json".to_string()
     } else {
         out_path
@@ -1093,7 +1086,6 @@ fn main() {
             name,
             rewrite_spec(n_rules, ppq, group, ComplexShape::None),
             linear,
-            dense,
         );
         print_row(&r);
         results.push(r);
@@ -1122,9 +1114,7 @@ fn main() {
     // three-valued guard mix against flat-batch traffic) and existential
     // chains of varying depth with transform FILTERs. They ride the shared
     // alloc==0 and 250k median/p99 throughput gates; their shape labels
-    // keep them out of the flat-only indexed-vs-linear speedup geomean,
-    // and `--no-dense` A/Bs them on the hash-fallback path like every
-    // other rewrite config.
+    // keep them out of the flat-only indexed-vs-linear speedup geomean.
     let complex_grid: &[(&str, ComplexShape, usize)] = if quick {
         &[
             ("guarded", ComplexShape::Guarded, 1_000),
@@ -1151,7 +1141,6 @@ fn main() {
                 name,
                 rewrite_spec(n_rules, 8, false, complex),
                 linear,
-                dense,
             );
             print_row(&r);
             results.push(r);

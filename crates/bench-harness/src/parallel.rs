@@ -127,7 +127,7 @@ mod tests {
         let mut store = std::mem::take(&mut w.store);
         // Freeze into the dense direct-indexed dispatch tables, like the
         // production serve path.
-        assert!(store.build_dense_index(w.interner.symbol_bound()));
+        store.build_dense_index(w.interner.symbol_bound());
         let interner = Arc::new(std::mem::replace(&mut w.interner, Interner::new()).freeze());
         (
             BatchEngine::new(Arc::new(store), interner),

@@ -625,7 +625,7 @@ pub fn generate_federation(spec: &FederationSpec) -> FederationWorkload {
     // endpoint's candidate lookups take the O(1) path the planner reads.
     let mut planner = FederationPlanner::new();
     for (mut store, term) in stores.into_iter().zip(endpoint_terms) {
-        assert!(store.build_dense_index(interner.symbol_bound()));
+        store.build_dense_index(interner.symbol_bound());
         planner.add_endpoint(term, Arc::new(store));
     }
     FederationWorkload {

@@ -12,28 +12,25 @@
 //! ```
 //!
 //! The hot path is "for each query triple pattern, find the rules that could
-//! apply". During the build phase the store maintains two hash indexes over
-//! the rule list: entity rules keyed by the raw source term, predicate rules
-//! keyed by the template's predicate symbol. At freeze time,
-//! [`AlignmentStore::build_dense_index`] converts both into **dense
-//! direct-indexed tables** keyed by interner symbol id — the
+//! apply". The store answers it from **dense direct-indexed tables** keyed
+//! by interner symbol id, derived from the rule list in one pass — the
 //! dictionary-encoded dispatch columnar SPARQL engines use: interner symbols
 //! are dense `u32`s, so "hash the key, probe, compare" collapses into a
 //! single bounds-checked array load. Entity targets and predicate posting-list
 //! offsets share one merged per-symbol dispatch record (entity targets in
 //! the concrete-kind lanes, CSR offsets in the otherwise-unused variable
 //! lane), and rule templates are pooled flat by rule id so applying a match
-//! never chases the rule list. When the symbol space is too sparse for dense
-//! tables to pay for themselves the store keeps the hash maps as the
-//! fallback path — lookups are correct either way, just slower.
+//! never chases the rule list. The tables are built lazily on the first
+//! lookup after a rule load (or eagerly by
+//! [`AlignmentStore::build_dense_index`]) and are the only lookup path.
 //!
-//! The [`crate::rewriter::LinearRewriter`] ignores every index and scans the
+//! The [`crate::rewriter::LinearRewriter`] ignores the tables and scans the
 //! rule list instead, as the benchmark baseline.
 
-use crate::fxhash::FxHashMap;
+use std::sync::OnceLock;
+
 use crate::pattern::{ExprNode, TriplePattern};
-use crate::smallvec::SmallVec;
-use crate::term::{Symbol, Term, TermKind, SYM_MASK, TAG_SHIFT};
+use crate::term::{Term, TermKind, SYM_MASK, TAG_SHIFT};
 
 /// Vacant guard slot in a [`RuleTemplate`] (and in the dense per-rule guard
 /// pool): "this rule has no firing condition".
@@ -154,10 +151,9 @@ pub enum AlignError {
     VariableEntity,
     /// Empty right-hand side would silently delete query patterns.
     EmptyTemplate,
-    /// Rule templates must not contain rewriter-minted
-    /// [`TermKind::Fresh`](crate::term::TermKind::Fresh) terms — their
-    /// counters are meaningful only within one rewrite call, so a rule
-    /// carrying one could capture the engine's own existentials.
+    /// Rule templates must not contain rewriter-minted [`TermKind::Fresh`]
+    /// terms — their counters are meaningful only within one rewrite call,
+    /// so a rule carrying one could capture the engine's own existentials.
     FreshTerm,
     /// A template expression pool is not self-contained: a child index
     /// points at or past its own node (the pool must be topologically
@@ -204,15 +200,16 @@ impl std::fmt::Display for AlignError {
 
 impl std::error::Error for AlignError {}
 
-/// Dense direct-indexed dispatch tables, built at freeze time from the hash
-/// indexes. Both tables are sized by the interner's
-/// [`symbol_bound`](crate::interner::Interner::symbol_bound), so a lookup is
-/// a bounds-checked array load with no hashing and no key comparison.
+/// Dense direct-indexed dispatch tables, derived from the rule list by
+/// [`DenseIndex::build`]. The dispatch table is sized by the largest
+/// rule-key symbol (an entity source or a template predicate), so a lookup
+/// is a bounds-checked array load with no hashing and no key comparison,
+/// and the table never outgrows the interner.
 #[derive(Debug)]
 struct DenseIndex {
-    /// Symbols this index was sized for. Terms carrying a later symbol (a
-    /// worker-local post-freeze intern) fall outside every table and
-    /// correctly resolve to "no rule".
+    /// One past the largest rule-key symbol. Terms carrying a symbol at or
+    /// past it — including a worker-local post-freeze intern — fall outside
+    /// every table and correctly resolve to "no rule".
     symbol_bound: u32,
     /// The merged dispatch table: one 16-byte record of four `u32` lanes per
     /// symbol, `table[(symbol << 2) | lane]`, with `symbol_bound + 1`
@@ -319,34 +316,131 @@ fn leaves_satisfy(exprs: &[ExprNode], root: u32, mut ok: impl FnMut(Term) -> boo
     true
 }
 
-/// Rule set plus candidate-lookup indexes.
+impl DenseIndex {
+    /// Derive every table from the rule list in one pass over it. The first
+    /// entity rule for a source term wins (later duplicates stay in the
+    /// list — the linear scan also takes the first match — but never win),
+    /// and each predicate posting list is in rule-id order.
+    fn build(rules: &[Rule]) -> DenseIndex {
+        let lane3 = |sym: usize| (sym << 2) | 3;
+        // One 4-lane record per key symbol plus the end-of-CSR sentinel
+        // record, grown to the largest key seen. Lane 3 first counts each
+        // symbol's predicate rules; the prefix sum below turns the counts
+        // into offsets.
+        let mut table = vec![NO_ENTITY, NO_ENTITY, NO_ENTITY, 0];
+        // Flat template pools by rule id. Complex rules add their guard,
+        // expression, and filter-root pools in the same CSR shape; flat and
+        // entity rules contribute empty ranges, so the extra pools cost
+        // nothing on their dispatch path.
+        let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
+        let mut tmpl_lhs = vec![placeholder; rules.len()].into_boxed_slice();
+        let mut tmpl_rhs_off = vec![0u32; rules.len() + 1];
+        let mut rhs_pool = Vec::new();
+        let mut tmpl_guard = vec![NO_EXPR; rules.len()].into_boxed_slice();
+        let mut tmpl_expr_off = vec![0u32; rules.len() + 1];
+        let mut expr_pool = Vec::new();
+        let mut tmpl_filter_off = vec![0u32; rules.len() + 1];
+        let mut filter_pool = Vec::new();
+        for (id, rule) in rules.iter().enumerate() {
+            let key = match rule {
+                Rule::Entity { from, .. } => *from,
+                Rule::Predicate { lhs, .. } | Rule::Complex { lhs, .. } => lhs.p,
+            };
+            let sym = key.symbol().index();
+            let records = (sym + 2) << 2;
+            if table.len() < records {
+                let old = table.len();
+                table.resize(records, NO_ENTITY);
+                for record in table[old..].chunks_exact_mut(4) {
+                    record[3] = 0;
+                }
+            }
+            match rule {
+                Rule::Entity { from, to } => {
+                    debug_assert!(
+                        (from.kind() as usize) < KINDS,
+                        "entity sources are concrete"
+                    );
+                    let slot = (sym << 2) | from.kind() as usize;
+                    if table[slot] == NO_ENTITY {
+                        table[slot] = to.raw();
+                    }
+                }
+                Rule::Predicate { lhs, rhs } => {
+                    table[lane3(sym)] += 1;
+                    tmpl_lhs[id] = *lhs;
+                    rhs_pool.extend_from_slice(rhs);
+                }
+                Rule::Complex { lhs, tmpl } => {
+                    table[lane3(sym)] += 1;
+                    tmpl_lhs[id] = *lhs;
+                    rhs_pool.extend_from_slice(&tmpl.triples);
+                    tmpl_guard[id] = tmpl.guard;
+                    expr_pool.extend_from_slice(&tmpl.exprs);
+                    filter_pool.extend_from_slice(&tmpl.filters);
+                }
+            }
+            tmpl_rhs_off[id + 1] = rhs_pool.len() as u32;
+            tmpl_expr_off[id + 1] = expr_pool.len() as u32;
+            tmpl_filter_off[id + 1] = filter_pool.len() as u32;
+        }
+
+        // CSR into lane 3: an inclusive prefix sum leaves each symbol's
+        // lane holding the end of its posting list (the sentinel record
+        // counts nothing, so it holds the total). Filling rule ids in
+        // reverse, decrementing as we go, leaves each lane at the start of
+        // its list and every list in rule-id order. Entity-rule ids hold
+        // the fresh placeholder lhs and are skipped.
+        let symbol_bound = table.len() / 4 - 1;
+        for sym in 1..=symbol_bound {
+            table[lane3(sym)] += table[lane3(sym - 1)];
+        }
+        let mut pred_ids = vec![0u32; table[lane3(symbol_bound)] as usize].into_boxed_slice();
+        for (id, lhs) in tmpl_lhs.iter().enumerate().rev() {
+            if lhs.p.is_fresh() {
+                continue;
+            }
+            let lane = lane3(lhs.p.symbol().index());
+            table[lane] -= 1;
+            pred_ids[table[lane] as usize] = id as u32;
+        }
+
+        DenseIndex {
+            symbol_bound: symbol_bound as u32,
+            table: table.into_boxed_slice(),
+            pred_ids,
+            tmpl_lhs,
+            tmpl_rhs_off: tmpl_rhs_off.into_boxed_slice(),
+            rhs_pool: rhs_pool.into_boxed_slice(),
+            tmpl_guard,
+            tmpl_expr_off: tmpl_expr_off.into_boxed_slice(),
+            expr_pool: expr_pool.into_boxed_slice(),
+            tmpl_filter_off: tmpl_filter_off.into_boxed_slice(),
+            filter_pool: filter_pool.into_boxed_slice(),
+        }
+    }
+}
+
+/// Rule set plus its dense dispatch tables.
 ///
-/// Build phase: hash indexes (FxHash) are maintained incrementally by
-/// `add_*`. Freeze: [`AlignmentStore::build_dense_index`] lowers them into
-/// direct-indexed tables keyed by interner symbol id. Lookups transparently
-/// prefer the dense tables and fall back to the hash maps when they are
-/// absent (never built, declined as too sparse, or invalidated by a
-/// post-freeze `add_*`).
+/// Every `add_*` drops the tables; the next lookup rebuilds them from the
+/// rule list (or [`AlignmentStore::build_dense_index`] does so eagerly), so
+/// a store is correct whether it was frozen, reloaded after a freeze, or
+/// never frozen at all. Concurrent first lookups through a shared store
+/// build the tables exactly once.
 #[derive(Default, Debug)]
 pub struct AlignmentStore {
     rules: Vec<Rule>,
-    /// Raw packed source term → id of the *first* entity rule for it.
-    /// Later duplicates are kept in `rules` (the linear scan also takes the
-    /// first match) but never win.
-    entity_idx: FxHashMap<u32, u32>,
-    /// Template predicate symbol → ids of predicate rules with that
-    /// predicate, in insertion (= id) order.
-    predicate_idx: FxHashMap<Symbol, SmallVec<u32, 4>>,
-    /// Frozen dense dispatch tables; `None` during the build phase and on
-    /// the sparse fallback path.
-    dense: Option<DenseIndex>,
+    /// Dispatch tables derived from `rules`; empty until the first lookup
+    /// (or `build_dense_index`) after the last `add_*`.
+    dense: OnceLock<DenseIndex>,
     /// Monotonic rule-set revision: bumped by every `add_*`, never by
-    /// `build_dense_index` (freezing changes the lookup machinery, not the
-    /// rules). This is the generation tag the rewrite-result cache
-    /// ([`crate::cache::RewriteCache`]) stamps entries with — a post-freeze
-    /// rule load bumps it, so every cached rewrite produced under the old
-    /// rule set lazily misses, mirroring how the same `add_*` invalidates
-    /// the dense tables.
+    /// `build_dense_index` (building the tables changes the lookup
+    /// machinery, not the rules). This is the generation tag the
+    /// rewrite-result cache ([`crate::cache::RewriteCache`]) stamps entries
+    /// with — a post-freeze rule load bumps it, so every cached rewrite
+    /// produced under the old rule set lazily misses, mirroring how the
+    /// same `add_*` drops the dense tables.
     revision: u64,
 }
 
@@ -363,16 +457,7 @@ impl AlignmentStore {
         if from.is_fresh() || to.is_fresh() {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.next_id();
-        self.rules.push(Rule::Entity { from, to });
-        self.entity_idx.entry(from.raw()).or_insert(id);
-        // The dense tables are a frozen snapshot; a post-freeze rule load
-        // invalidates them and lookups revert to the hash fallback until
-        // the caller re-freezes. The revision bump invalidates any
-        // rewrite-result cache keyed to the old rule set the same way.
-        self.dense = None;
-        self.revision += 1;
-        Ok(id)
+        Ok(self.push_rule(Rule::Entity { from, to }))
     }
 
     /// Register a template rewrite `lhs ⇒ rhs`. Returns the rule id.
@@ -395,15 +480,7 @@ impl AlignmentStore {
         {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.next_id();
-        self.predicate_idx
-            .entry(lhs.p.symbol())
-            .or_default()
-            .push(id);
-        self.rules.push(Rule::Predicate { lhs, rhs });
-        self.dense = None;
-        self.revision += 1;
-        Ok(id)
+        Ok(self.push_rule(Rule::Predicate { lhs, rhs }))
     }
 
     /// Register a complex correspondence `lhs ⇒ tmpl` (guarded
@@ -483,183 +560,64 @@ impl AlignmentStore {
                 return Err(AlignError::TemplateVariableUnbound);
             }
         }
-        let id = self.next_id();
-        self.predicate_idx
-            .entry(lhs.p.symbol())
-            .or_default()
-            .push(id);
-        self.rules.push(Rule::Complex { lhs, tmpl });
-        self.dense = None;
-        self.revision += 1;
-        Ok(id)
+        Ok(self.push_rule(Rule::Complex { lhs, tmpl }))
     }
 
-    /// Freeze the candidate indexes into dense direct-indexed tables sized
-    /// by `symbol_bound` (the interner's
-    /// [`symbol_bound`](crate::interner::Interner::symbol_bound) at freeze
-    /// time). Returns `true` when the dense tables were built, `false` when
-    /// the symbol space is too sparse relative to the rule count for a
-    /// direct-indexed table to pay for its memory, in which case the hash
-    /// indexes stay in service as the fallback path (lookups remain
-    /// correct, just hashed).
-    ///
-    /// Loading further rules after this call invalidates the dense tables;
-    /// call `build_dense_index` again once loading is done.
-    pub fn build_dense_index(&mut self, symbol_bound: usize) -> bool {
-        self.dense = None;
-        // Density heuristic: the tables cost ~16 bytes per symbol. Build
-        // them when the symbol space is small in absolute terms or within a
-        // constant factor of the rule count; a near-empty rule set over a
-        // huge dictionary keeps the hash fallback.
-        let worthwhile =
-            symbol_bound <= (1 << 16) || symbol_bound <= self.rules.len().saturating_mul(64);
-        if !worthwhile || symbol_bound > u32::MAX as usize {
-            return false;
-        }
+    /// Append a validated rule: drop the dispatch tables (the next lookup
+    /// rebuilds them) and bump the revision, which invalidates any
+    /// rewrite-result cache keyed to the old rule set the same way.
+    fn push_rule(&mut self, rule: Rule) -> u32 {
+        let id = u32::try_from(self.rules.len()).expect("more than u32::MAX rules");
+        self.rules.push(rule);
+        self.dense = OnceLock::new();
+        self.revision += 1;
+        id
+    }
 
-        // Every rule symbol must fall inside the bound, or dense lookups
-        // would silently diverge from the hash index.
+    /// Build the dense dispatch tables now rather than on the first lookup,
+    /// so serving set-up (not the first request) pays for them.
+    /// `symbol_bound` is the interner's
+    /// [`symbol_bound`](crate::interner::Interner::symbol_bound) at freeze
+    /// time; the tables themselves are sized by the rules.
+    ///
+    /// # Panics
+    ///
+    /// If a rule symbol is at or past `symbol_bound`: the interner was
+    /// frozen before the rules were loaded.
+    pub fn build_dense_index(&mut self, symbol_bound: usize) {
         assert!(
-            self.predicate_idx.keys().all(|s| s.index() < symbol_bound)
-                && self
-                    .entity_idx
-                    .keys()
-                    .all(|&raw| (Term::from_raw(raw).symbol().index()) < symbol_bound),
+            self.dense().symbol_bound as usize <= symbol_bound,
             "build_dense_index: symbol_bound smaller than a rule symbol \
              (freeze the interner after loading rules, not before)"
         );
+    }
 
-        // One 4-lane record per symbol plus the end-of-CSR sentinel record.
-        let mut table = vec![NO_ENTITY; 4 * (symbol_bound + 1)].into_boxed_slice();
-        for (&raw, &id) in &self.entity_idx {
-            let from = Term::from_raw(raw);
-            debug_assert!(
-                (from.kind() as usize) < KINDS,
-                "entity sources are concrete"
-            );
-            let slot = (from.symbol().index() << 2) | from.kind() as usize;
-            let Rule::Entity { to, .. } = self.rules[id as usize] else {
-                unreachable!("entity index points at non-entity rule");
-            };
-            table[slot] = to.raw();
-        }
-
-        // CSR build into lane 3: count per symbol, prefix-sum, then fill in
-        // rule-id order so each posting list preserves the hash index's
-        // ordering.
-        let lane3 = |sym: usize| (sym << 2) | 3;
-        // Scatter per-symbol counts into lane 3 (one pass over the rule
-        // index, not one hash probe per dictionary symbol), then prefix-sum
-        // in place.
-        for sym in 0..=symbol_bound {
-            table[lane3(sym)] = 0;
-        }
-        for (sym, ids) in &self.predicate_idx {
-            table[lane3(sym.index() + 1)] = ids.len() as u32;
-        }
-        for sym in 1..=symbol_bound {
-            table[lane3(sym)] += table[lane3(sym - 1)];
-        }
-        let total = table[lane3(symbol_bound)] as usize;
-        let mut pred_ids = vec![0u32; total].into_boxed_slice();
-        for (sym, ids) in &self.predicate_idx {
-            let start = table[lane3(sym.index())] as usize;
-            pred_ids[start..start + ids.len()].copy_from_slice(ids.as_slice());
-        }
-
-        // Flat template pools by rule id. Complex rules add their guard,
-        // expression, and filter-root pools in the same CSR shape; flat and
-        // entity rules contribute empty ranges, so the extra pools cost
-        // nothing on their dispatch path.
-        let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
-        let mut tmpl_lhs = vec![placeholder; self.rules.len()].into_boxed_slice();
-        let mut tmpl_rhs_off = vec![0u32; self.rules.len() + 1];
-        let mut rhs_pool = Vec::new();
-        let mut tmpl_guard = vec![NO_EXPR; self.rules.len()].into_boxed_slice();
-        let mut tmpl_expr_off = vec![0u32; self.rules.len() + 1];
-        let mut expr_pool = Vec::new();
-        let mut tmpl_filter_off = vec![0u32; self.rules.len() + 1];
-        let mut filter_pool = Vec::new();
-        for (id, rule) in self.rules.iter().enumerate() {
-            match rule {
-                Rule::Predicate { lhs, rhs } => {
-                    tmpl_lhs[id] = *lhs;
-                    rhs_pool.extend_from_slice(rhs);
-                }
-                Rule::Complex { lhs, tmpl } => {
-                    tmpl_lhs[id] = *lhs;
-                    rhs_pool.extend_from_slice(&tmpl.triples);
-                    tmpl_guard[id] = tmpl.guard;
-                    expr_pool.extend_from_slice(&tmpl.exprs);
-                    filter_pool.extend_from_slice(&tmpl.filters);
-                }
-                Rule::Entity { .. } => {}
-            }
-            tmpl_rhs_off[id + 1] = rhs_pool.len() as u32;
-            tmpl_expr_off[id + 1] = expr_pool.len() as u32;
-            tmpl_filter_off[id + 1] = filter_pool.len() as u32;
-        }
-
-        self.dense = Some(DenseIndex {
-            symbol_bound: symbol_bound as u32,
-            table,
-            pred_ids,
-            tmpl_lhs,
-            tmpl_rhs_off: tmpl_rhs_off.into_boxed_slice(),
-            rhs_pool: rhs_pool.into_boxed_slice(),
-            tmpl_guard,
-            tmpl_expr_off: tmpl_expr_off.into_boxed_slice(),
-            expr_pool: expr_pool.into_boxed_slice(),
-            tmpl_filter_off: tmpl_filter_off.into_boxed_slice(),
-            filter_pool: filter_pool.into_boxed_slice(),
-        });
-        true
+    /// The dispatch tables, built from the rule list on first use after a
+    /// rule load.
+    #[inline]
+    fn dense(&self) -> &DenseIndex {
+        self.dense.get_or_init(|| DenseIndex::build(&self.rules))
     }
 
     /// The templates of predicate/complex rule `id` as a uniform
     /// [`TemplateRef`] (flat rules surface empty expression fields). Only
     /// meaningful for ids yielded by
-    /// [`AlignmentStore::predicate_candidates`] (or an equivalent scan);
-    /// on the dense path this reads the flat template pools and never
-    /// touches the rule list.
+    /// [`AlignmentStore::predicate_candidates`] (or an equivalent scan):
+    /// this reads the flat template pools and never touches the rule list.
     #[inline]
     pub fn template(&self, id: u32) -> TemplateRef<'_> {
-        if let Some(dense) = &self.dense {
-            let id = id as usize;
-            return TemplateRef {
-                lhs: dense.tmpl_lhs[id],
-                triples: &dense.rhs_pool
-                    [dense.tmpl_rhs_off[id] as usize..dense.tmpl_rhs_off[id + 1] as usize],
-                exprs: &dense.expr_pool
-                    [dense.tmpl_expr_off[id] as usize..dense.tmpl_expr_off[id + 1] as usize],
-                guard: dense.tmpl_guard[id],
-                filters: &dense.filter_pool
-                    [dense.tmpl_filter_off[id] as usize..dense.tmpl_filter_off[id + 1] as usize],
-            };
+        let dense = self.dense();
+        let id = id as usize;
+        TemplateRef {
+            lhs: dense.tmpl_lhs[id],
+            triples: &dense.rhs_pool
+                [dense.tmpl_rhs_off[id] as usize..dense.tmpl_rhs_off[id + 1] as usize],
+            exprs: &dense.expr_pool
+                [dense.tmpl_expr_off[id] as usize..dense.tmpl_expr_off[id + 1] as usize],
+            guard: dense.tmpl_guard[id],
+            filters: &dense.filter_pool
+                [dense.tmpl_filter_off[id] as usize..dense.tmpl_filter_off[id + 1] as usize],
         }
-        match &self.rules[id as usize] {
-            Rule::Predicate { lhs, rhs } => TemplateRef {
-                lhs: *lhs,
-                triples: rhs,
-                exprs: &[],
-                guard: NO_EXPR,
-                filters: &[],
-            },
-            Rule::Complex { lhs, tmpl } => TemplateRef {
-                lhs: *lhs,
-                triples: &tmpl.triples,
-                exprs: &tmpl.exprs,
-                guard: tmpl.guard,
-                filters: &tmpl.filters,
-            },
-            Rule::Entity { .. } => unreachable!("template id points at a non-predicate rule"),
-        }
-    }
-
-    /// Whether lookups currently run on the dense direct-indexed tables
-    /// (vs. the hash fallback).
-    pub fn has_dense_index(&self) -> bool {
-        self.dense.is_some()
     }
 
     /// Monotonic rule-set revision, bumped by every successful `add_*`.
@@ -669,15 +627,11 @@ impl AlignmentStore {
     /// with the current one. Rewriting is deterministic per (query text,
     /// rule set), so equal revisions guarantee the cached text is still the
     /// correct rewrite — and a post-freeze `add_*` bumps the revision,
-    /// making every stale entry miss without any eager scan, exactly like
-    /// the dense-index invalidation above.
+    /// making every stale entry miss without any eager scan, exactly as it
+    /// drops the dense tables.
     #[inline]
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    fn next_id(&self) -> u32 {
-        u32::try_from(self.rules.len()).expect("more than u32::MAX rules")
     }
 
     #[inline]
@@ -694,47 +648,41 @@ impl AlignmentStore {
     }
 
     /// Indexed entity lookup: the replacement for `t`, if any entity rule
-    /// rewrites it. On the dense path this is a tag check plus one array
-    /// load; variables and fresh terms short-circuit without touching
-    /// memory, and a symbol minted after the freeze falls outside the table
-    /// bounds (no rule can mention it).
+    /// rewrites it. A tag check plus one array load; variables and fresh
+    /// terms short-circuit without touching memory, and a symbol past every
+    /// rule key (such as one minted after the freeze) falls outside the
+    /// table.
     #[inline]
     pub fn entity_target(&self, t: Term) -> Option<Term> {
-        if let Some(dense) = &self.dense {
-            let raw = t.raw();
-            // Variables and fresh terms can never be entity-rule sources:
-            // one compare, no memory touched (this is the common case —
-            // most subject/object positions are variables).
-            if raw >= CONCRETE_TAG_CEIL {
-                return None;
-            }
-            // slot = (symbol << 2) | tag, always an entity lane (tag ≤ 2).
-            // A post-freeze symbol is rejected by the explicit bound check
-            // (the sentinel record at the end means the slice check alone
-            // is not tight enough).
-            let sym = (raw & SYM_MASK) as usize;
-            if sym >= dense.symbol_bound as usize {
-                return None;
-            }
-            let to = dense.table[sym << 2 | (raw >> TAG_SHIFT) as usize];
-            return if to != NO_ENTITY {
-                Some(Term::from_raw(to))
-            } else {
-                None
-            };
+        let raw = t.raw();
+        // Variables and fresh terms can never be entity-rule sources:
+        // one compare, no memory touched (this is the common case —
+        // most subject/object positions are variables).
+        if raw >= CONCRETE_TAG_CEIL {
+            return None;
         }
-        let &id = self.entity_idx.get(&t.raw())?;
-        match &self.rules[id as usize] {
-            Rule::Entity { to, .. } => Some(*to),
-            _ => unreachable!("entity index points at non-entity rule"),
+        let dense = self.dense();
+        // slot = (symbol << 2) | tag, always an entity lane (tag ≤ 2).
+        // A symbol past every rule key is rejected by the explicit bound
+        // check (the sentinel record at the end means the slice check alone
+        // is not tight enough).
+        let sym = (raw & SYM_MASK) as usize;
+        if sym >= dense.symbol_bound as usize {
+            return None;
+        }
+        let to = dense.table[sym << 2 | (raw >> TAG_SHIFT) as usize];
+        if to != NO_ENTITY {
+            Some(Term::from_raw(to))
+        } else {
+            None
         }
     }
 
     /// Indexed predicate-rule candidates for a pattern whose predicate is
     /// `p`, in rule-id order. Variables never match (templates must have
     /// concrete predicates, so a variable predicate in the query can only be
-    /// entity-rewritten, never template-expanded). On the dense path this is
-    /// two adjacent offset loads and a slice.
+    /// entity-rewritten, never template-expanded). Two adjacent offset loads
+    /// and a slice.
     #[inline]
     pub fn predicate_candidates(&self, p: Term) -> &[u32] {
         // A variable predicate never matches a template (templates have
@@ -744,22 +692,17 @@ impl AlignmentStore {
         if p.raw() >= CONCRETE_TAG_CEIL {
             return &[];
         }
-        if let Some(dense) = &self.dense {
-            let sym = p.symbol().index();
-            if sym >= dense.symbol_bound as usize {
-                return &[];
-            }
-            // CSR offsets live in lane 3 of the symbol's (and the next
-            // symbol's) dispatch record — usually the same cache line the
-            // entity lookup for this predicate just touched.
-            let start = dense.table[sym << 2 | 3] as usize;
-            let end = dense.table[(sym + 1) << 2 | 3] as usize;
-            return &dense.pred_ids[start..end];
+        let dense = self.dense();
+        let sym = p.symbol().index();
+        if sym >= dense.symbol_bound as usize {
+            return &[];
         }
-        self.predicate_idx
-            .get(&p.symbol())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        // CSR offsets live in lane 3 of the symbol's (and the next
+        // symbol's) dispatch record — usually the same cache line the
+        // entity lookup for this predicate just touched.
+        let start = dense.table[sym << 2 | 3] as usize;
+        let end = dense.table[(sym + 1) << 2 | 3] as usize;
+        &dense.pred_ids[start..end]
     }
 }
 
@@ -957,121 +900,160 @@ mod tests {
                 }
             }
         }
-        // Snapshot every predicate/complex template on the hash path...
-        let pred_ids: Vec<u32> = (0..store.len() as u32)
-            .filter(|&id| !matches!(store.rules()[id as usize], Rule::Entity { .. }))
-            .collect();
-        type Snap = (
-            TriplePattern,
-            Vec<TriplePattern>,
-            Vec<ExprNode>,
-            u32,
-            Vec<u32>,
-        );
-        let snap = |store: &AlignmentStore, id: u32| -> Snap {
-            let t = store.template(id);
-            (
-                t.lhs,
-                t.triples.to_vec(),
-                t.exprs.to_vec(),
-                t.guard,
-                t.filters.to_vec(),
-            )
-        };
-        let hash_snaps: Vec<Snap> = pred_ids.iter().map(|&id| snap(&store, id)).collect();
-        // ...then freeze and require the dense pools to reproduce them.
-        assert!(store.build_dense_index(it.symbol_bound()));
-        for (i, &id) in pred_ids.iter().enumerate() {
-            assert_eq!(snap(&store, id), hash_snaps[i], "rule {id}");
+        // Every template read from the flat pools equals the rule it came
+        // from; flat rules surface empty expression fields.
+        store.build_dense_index(it.symbol_bound());
+        for (id, rule) in store.rules().iter().enumerate() {
+            let expected = match rule {
+                Rule::Predicate { lhs, rhs } => (*lhs, &rhs[..], &[][..], NO_EXPR, &[][..]),
+                Rule::Complex { lhs, tmpl } => (
+                    *lhs,
+                    &tmpl.triples[..],
+                    &tmpl.exprs[..],
+                    tmpl.guard,
+                    &tmpl.filters[..],
+                ),
+                Rule::Entity { .. } => continue,
+            };
+            let t = store.template(id as u32);
+            assert_eq!(
+                (t.lhs, t.triples, t.exprs, t.guard, t.filters),
+                expected,
+                "rule {id}"
+            );
         }
     }
 
+    /// Reference entity lookup: the first entity rule for `t` in id order.
+    fn scan_entity(store: &AlignmentStore, t: Term) -> Option<Term> {
+        store.rules().iter().find_map(|r| match r {
+            Rule::Entity { from, to } if *from == t => Some(*to),
+            _ => None,
+        })
+    }
+
+    /// Reference candidate lookup: every predicate/complex rule whose
+    /// template predicate has `p`'s symbol, in id order (candidates are
+    /// keyed by symbol; the rewriter's lhs match compares whole terms).
+    fn scan_predicates(store: &AlignmentStore, p: Term) -> Vec<u32> {
+        if p.is_var() || p.is_fresh() {
+            return Vec::new();
+        }
+        (0..)
+            .zip(store.rules())
+            .filter_map(|(id, r)| match r {
+                Rule::Predicate { lhs, .. } | Rule::Complex { lhs, .. }
+                    if lhs.p.symbol() == p.symbol() =>
+                {
+                    Some(id)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn dense_index_agrees_with_hash_index() {
+    fn dense_lookups_agree_with_rule_scan() {
         let mut it = Interner::new();
         let v = var(&mut it, "x");
         let mut store = AlignmentStore::new();
         let mut preds = Vec::new();
-        let mut ents = Vec::new();
+        let mut probes = vec![v, Term::fresh(3)];
         for i in 0..40 {
             let p = iri(&mut it, &format!("http://src/p{i}"));
             let q = iri(&mut it, &format!("http://tgt/p{i}"));
             preds.push(p);
+            // A literal spelled like an IRI key shares its symbol.
+            probes.extend([p, q, Term::literal(p.symbol())]);
             if i % 3 == 0 {
                 let lhs = TriplePattern::new(v, p, v);
                 store
                     .add_predicate(lhs, vec![TriplePattern::new(v, q, v)])
                     .unwrap();
-                if i % 6 == 0 {
-                    // Second template on the same predicate: posting lists
-                    // longer than one entry.
-                    store
-                        .add_predicate(lhs, vec![TriplePattern::new(v, q, v)])
-                        .unwrap();
-                }
+            }
+            if i % 5 == 0 {
+                // A later template on an earlier predicate: posting lists
+                // longer than one entry, with non-adjacent ids.
+                let lhs = TriplePattern::new(v, preds[i / 2], v);
+                store
+                    .add_predicate(lhs, vec![TriplePattern::new(v, q, v)])
+                    .unwrap();
             }
             if i % 4 == 0 {
                 let e = iri(&mut it, &format!("http://src/e{i}"));
                 let t = iri(&mut it, &format!("http://tgt/e{i}"));
-                ents.push(e);
+                probes.extend([e, Term::literal(e.symbol()), Term::blank(e.symbol())]);
                 store.add_entity(e, t).unwrap();
+                // A later rule for the same source never wins.
+                store.add_entity(e, q).unwrap();
+                if i % 8 == 0 {
+                    // Term kinds do not alias: a literal spelled like `e`
+                    // is its own source.
+                    store.add_entity(Term::literal(e.symbol()), p).unwrap();
+                }
             }
         }
-        // Snapshot every lookup on the hash path, then freeze and compare.
-        let probe_terms: Vec<Term> = preds
+        let check = |store: &AlignmentStore, probes: &[Term]| {
+            for &t in probes {
+                assert_eq!(store.entity_target(t), scan_entity(store, t), "{t:?}");
+                assert_eq!(
+                    store.predicate_candidates(t),
+                    &scan_predicates(store, t)[..],
+                    "{t:?}"
+                );
+            }
+        };
+        // Never frozen: the first lookup builds the tables.
+        check(&store, &probes);
+        assert!(probes
             .iter()
-            .chain(ents.iter())
-            .copied()
-            .chain([v, Term::literal(it.intern("\"x\"")), Term::fresh(3)])
-            .collect();
-        let hash_entities: Vec<Option<Term>> = probe_terms
-            .iter()
-            .map(|&t| store.entity_target(t))
-            .collect();
-        let hash_preds: Vec<Vec<u32>> = probe_terms
-            .iter()
-            .map(|&t| store.predicate_candidates(t).to_vec())
-            .collect();
+            .any(|&t| store.predicate_candidates(t).len() > 1));
 
-        assert!(!store.has_dense_index());
-        assert!(store.build_dense_index(it.symbol_bound()));
-        assert!(store.has_dense_index());
-        for (i, &t) in probe_terms.iter().enumerate() {
-            assert_eq!(store.entity_target(t), hash_entities[i], "term {t:?}");
-            assert_eq!(
-                store.predicate_candidates(t),
-                &hash_preds[i][..],
-                "term {t:?}"
-            );
-        }
-
-        // A symbol minted after the freeze is outside every table: no rule.
+        // A symbol past every rule key finds no rule.
         let late = iri(&mut it, "http://late/interned");
         assert_eq!(store.entity_target(late), None);
         assert_eq!(store.predicate_candidates(late), &[] as &[u32]);
 
-        // Loading another rule invalidates the dense tables (hash fallback
-        // stays correct) until the caller re-freezes.
+        // An `add_*` after a lookup is seen without re-freezing.
         let lhs = TriplePattern::new(v, late, v);
-        store.add_predicate(lhs, vec![lhs]).unwrap();
-        assert!(!store.has_dense_index());
-        assert_eq!(store.predicate_candidates(late).len(), 1);
-        assert!(store.build_dense_index(it.symbol_bound()));
-        assert_eq!(store.predicate_candidates(late).len(), 1);
+        let id = store.add_predicate(lhs, vec![lhs]).unwrap();
+        assert_eq!(store.predicate_candidates(late), &[id]);
+        store.add_entity(late, preds[0]).unwrap();
+        assert_eq!(store.entity_target(late), Some(preds[0]));
+        probes.push(late);
+        check(&store, &probes);
+
+        // An explicit freeze serves the same answers.
+        store.build_dense_index(it.symbol_bound());
+        check(&store, &probes);
     }
 
     #[test]
-    fn sparse_symbol_space_keeps_hash_fallback() {
+    fn dense_table_sized_by_rule_keys() {
         let mut it = Interner::new();
         let a = iri(&mut it, "http://a");
         let b = iri(&mut it, "http://b");
         let mut store = AlignmentStore::new();
         store.add_entity(a, b).unwrap();
         // One rule over a pretend multi-million-symbol dictionary: the
-        // density heuristic must decline and lookups keep working.
-        assert!(!store.build_dense_index(50_000_000));
-        assert!(!store.has_dense_index());
+        // table covers the rule's key, not the dictionary.
+        store.build_dense_index(50_000_000);
+        let dense = store.dense.get().expect("built eagerly");
+        assert_eq!(dense.symbol_bound as usize, a.symbol().index() + 1);
+        assert_eq!(dense.table.len(), 4 * (dense.symbol_bound as usize + 1));
         assert_eq!(store.entity_target(a), Some(b));
+        assert_eq!(store.entity_target(b), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "symbol_bound smaller than a rule symbol")]
+    fn build_dense_index_rejects_a_bound_below_a_rule_symbol() {
+        let mut it = Interner::new();
+        let a = iri(&mut it, "http://a");
+        let b = iri(&mut it, "http://b");
+        let mut store = AlignmentStore::new();
+        store.add_entity(b, a).unwrap();
+        store.build_dense_index(b.symbol().index());
     }
 
     #[test]
@@ -1085,7 +1067,7 @@ mod tests {
         let tgt = iri(&mut it, "http://tgt");
         let mut store = AlignmentStore::new();
         store.add_entity(as_iri, tgt).unwrap();
-        assert!(store.build_dense_index(it.symbol_bound()));
+        store.build_dense_index(it.symbol_bound());
         assert_eq!(store.entity_target(as_iri), Some(tgt));
         assert_eq!(store.entity_target(as_lit), None);
     }

@@ -564,7 +564,9 @@ impl<'a> Scanner<'a> {
 
 /// Canonicalize and fingerprint one query text in a single pass — no
 /// allocation (up to 8 PREFIX declarations; more spill a scratch vector),
-/// no parsing, ~100ns for a typical request.
+/// no parsing. Servebench's traced runs (`cache.fp_canon_ns`, 2-vCPU
+/// Linux container) read 0.7–1.6 µs per request, longer bodies costing
+/// more.
 ///
 /// Returns `None` for text the scanner cannot confidently canonicalize
 /// (undeclared prefixes, unterminated tokens, bytes outside the grammar) —

@@ -7,9 +7,9 @@
 //! throughput. Per request the engine:
 //!
 //! 0. canonicalizes the request text into a [`QueryFingerprint`]
-//!    (single-pass, ~100ns) and probes the shared [`RewriteCache`] — a hit
-//!    copies the previously rendered rewrite straight into the output
-//!    buffer and skips the pipeline entirely,
+//!    (single-pass, ~0.7–1.6 µs) and probes the shared [`RewriteCache`] —
+//!    a hit copies the previously rendered rewrite straight into the
+//!    output buffer and skips the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`]
 //!    (worker-local interner — known strings resolve to their shared
 //!    symbols, novel strings get worker-private ids that can never alias a
@@ -219,9 +219,9 @@ impl AdaptiveCache {
 }
 
 impl ServeEngine {
-    /// Freeze `store` (building its dense dispatch tables against
-    /// `interner`'s symbol bound) and take a snapshot of the interner for
-    /// worker clones. `cache` sizes the rewrite-result cache
+    /// Freeze `store` (building its dense dispatch tables now, so set-up
+    /// rather than the first request pays for them) and take a snapshot of
+    /// the interner for worker clones. `cache` sizes the rewrite-result cache
     /// (`Some(CacheConfig::default())` for the production shape), or
     /// `None` serves every request through the cold pipeline — the
     /// `--no-cache` A/B path and the raw-pipeline bench configs.
@@ -347,11 +347,11 @@ impl ServeEngine {
     /// once the scratch (and its interner) are warm for the request's
     /// vocabulary — hit or miss.
     ///
-    /// Two-level keying: the **raw-byte** fingerprint (word-speed hash, a
-    /// few ns) catches byte-identical repeats — the dominant case, clients
-    /// re-send the same string — and only on a raw miss does the ~100ns
-    /// **canonical** fingerprint run to catch whitespace / keyword-case /
-    /// PREFIX-alias re-spellings. A canonical hit promotes the raw
+    /// Two-level keying: the **raw-byte** fingerprint (word-speed hash,
+    /// ~0.15–0.3 µs per request) catches byte-identical repeats — the
+    /// dominant case, clients re-send the same string — and only on a raw
+    /// miss does the ~0.7–1.6 µs **canonical** fingerprint run to catch
+    /// whitespace / keyword-case / PREFIX-alias re-spellings. A canonical hit promotes the raw
     /// spelling to its own entry so the next identical request takes the
     /// fast level.
     pub fn serve<'s>(

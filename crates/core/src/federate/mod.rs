@@ -479,7 +479,10 @@ impl FederationPlanner {
         subquery: &mut String,
     ) -> Result<(), RewriteError> {
         let bgp = Bgp::new(part.to_vec());
-        let rewriter = IndexedRewriter::new(Arc::clone(&self.endpoints[e].store));
+        // Borrow the store rather than clone the `Arc`: a per-request
+        // refcount write would bounce the cache line that also holds the
+        // store's dispatch-table pointers between the planning threads.
+        let rewriter = IndexedRewriter::new(&*self.endpoints[e].store);
         rewriter.try_rewrite_bgp_into(&bgp, &mut scratch.rewrite, limits)?;
         subquery.clear();
         render_query_into(

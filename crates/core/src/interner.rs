@@ -146,9 +146,9 @@ impl Interner {
     }
 
     /// Exclusive upper bound on every symbol id minted so far: symbols are
-    /// dense indices `0..symbol_bound()`. This is the size a direct-indexed
-    /// (dense) table keyed by symbol id needs — see
-    /// [`crate::align::AlignmentStore::build_dense_index`].
+    /// dense indices `0..symbol_bound()`, so every table keyed by symbol id
+    /// fits below it. [`crate::align::AlignmentStore::build_dense_index`]
+    /// checks the rule symbols against it.
     #[inline]
     pub fn symbol_bound(&self) -> usize {
         self.strings.len()

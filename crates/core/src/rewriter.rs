@@ -3,9 +3,9 @@
 //! Both rewriters implement the same semantics; they differ only in how rule
 //! candidates are found per triple pattern:
 //!
-//! * [`IndexedRewriter`] — O(1) lookups against the store's entity and
-//!   predicate indexes: dense direct-indexed dispatch tables after
-//!   [`AlignmentStore::build_dense_index`], hash maps before. This is the
+//! * [`IndexedRewriter`] — O(1) lookups against the store's dense
+//!   direct-indexed dispatch tables, derived from the rule list on first
+//!   use (or eagerly by [`AlignmentStore::build_dense_index`]). This is the
 //!   production path.
 //! * [`LinearRewriter`] — scans the full rule list per pattern, the way a
 //!   naive implementation would. Kept behind the same [`Rewriter`] trait as
@@ -43,12 +43,11 @@
 //!    — alongside the instantiated triples.
 //!
 //!    Variables introduced by a template (present in rhs, absent from lhs)
-//!    become [`TermKind::Fresh`](crate::term::TermKind::Fresh) terms
-//!    numbered by a per-rewrite counter — no string is interned and no name
-//!    lookup happens, because a fresh term is structurally unequal to every
-//!    parsed variable. Counters are minted left-to-right across the whole
-//!    tree, so branch contents are deterministic and independent of thread
-//!    scheduling.
+//!    become [`TermKind::Fresh`] terms numbered by a per-rewrite counter —
+//!    no string is interned and no name lookup happens, because a fresh
+//!    term is structurally unequal to every parsed variable. Counters are
+//!    minted left-to-right across the whole tree, so branch contents are
+//!    deterministic and independent of thread scheduling.
 //!
 //! Rewriting is not run to a fixpoint: rule sets are assumed to be composed
 //! offline (paper §4), so output vocabulary is never itself rewritten.
@@ -302,8 +301,7 @@ impl RewriteScratch {
 
 /// A rewriting strategy. Object-safe so benchmarks can treat strategies
 /// uniformly. All methods take `&self` and no interner: fresh variables are
-/// structural ([`TermKind::Fresh`](crate::term::TermKind::Fresh)), so the
-/// hot path never mints strings.
+/// structural ([`TermKind::Fresh`]), so the hot path never mints strings.
 pub trait Rewriter {
     /// Human-readable strategy name for benchmark output.
     fn name(&self) -> &'static str;
@@ -452,8 +450,8 @@ impl<S: Borrow<AlignmentStore>> RuleLookup for IndexedRewriter<S> {
     fn collect_matching_templates(&self, tp: TriplePattern, out: &mut Vec<u32>) {
         let store = self.store();
         for &id in store.predicate_candidates(tp.p) {
-            // `template` reads the dense flat lhs pool when the store is
-            // frozen — no `Vec<Rule>` enum chase per candidate.
+            // `template` reads the dense flat lhs pool — no `Vec<Rule>`
+            // enum chase per candidate.
             if lhs_matches(store.template(id).lhs, tp) {
                 out.push(id);
             }
@@ -1232,27 +1230,22 @@ mod tests {
                 .display(&it)
                 .to_string()
         };
-        for dense in [false, true] {
-            if dense {
-                assert!(store.build_dense_index(it.symbol_bound()));
-            }
-            // Statically true: fires cleanly, no residual FILTER.
-            let out = render(&store, &q_true);
-            assert!(out.contains("<http://tgt/p>"), "{out}");
-            assert!(!out.contains("FILTER"), "{out}");
-            // Statically false: the rule does not fire — pass-through.
-            let out = render(&store, &q_false);
-            assert!(out.contains("<http://src/p>"), "{out}");
-            assert!(!out.contains("<http://tgt/p>"), "{out}");
-            // Undecidable (object is an open variable): fires with the
-            // instantiated guard as a residual FILTER.
-            let out = render(&store, &q_open);
-            assert!(out.contains("<http://tgt/p>"), "{out}");
-            assert!(
-                out.contains("FILTER(?y = <http://val/yes>)"),
-                "residual guard: {out}"
-            );
-        }
+        // Statically true: fires cleanly, no residual FILTER.
+        let out = render(&store, &q_true);
+        assert!(out.contains("<http://tgt/p>"), "{out}");
+        assert!(!out.contains("FILTER"), "{out}");
+        // Statically false: the rule does not fire — pass-through.
+        let out = render(&store, &q_false);
+        assert!(out.contains("<http://src/p>"), "{out}");
+        assert!(!out.contains("<http://tgt/p>"), "{out}");
+        // Undecidable (object is an open variable): fires with the
+        // instantiated guard as a residual FILTER.
+        let out = render(&store, &q_open);
+        assert!(out.contains("<http://tgt/p>"), "{out}");
+        assert!(
+            out.contains("FILTER(?y = <http://val/yes>)"),
+            "residual guard: {out}"
+        );
     }
 
     #[test]
@@ -1319,19 +1312,12 @@ mod tests {
         assert!(out.contains("FILTER(?g0 != <http://u/cm>)"), "{out}");
         assert!(!out.contains("http://u/cm> = "), "no residual guard: {out}");
 
-        // Indexed and linear agree on all of it, dense or hash.
+        // Indexed and linear agree on all of it.
         let linear_out = LinearRewriter::new(&store)
             .rewrite_query(&query)
             .display(&it)
             .to_string();
         assert_eq!(out, linear_out);
-        let bound = it.symbol_bound();
-        assert!(store.build_dense_index(bound));
-        let dense_out = IndexedRewriter::new(&store)
-            .rewrite_query(&query)
-            .display(&it)
-            .to_string();
-        assert_eq!(out, dense_out);
     }
 
     #[test]

@@ -9,6 +9,9 @@ use sparql_rewrite_core::{
     TriplePattern,
 };
 
+use std::sync::{Arc, Barrier};
+use std::thread;
+
 mod common;
 use common::{random_group_query_text, Rng};
 
@@ -661,7 +664,7 @@ fn property_indexed_equals_linear_on_random_group_queries() {
     for seed in 1..=25u64 {
         let mut rng = Rng(seed * 0x51ed_2701);
         let mut it = Interner::new();
-        let mut store = random_store(&mut rng, &mut it);
+        let store = random_store(&mut rng, &mut it);
         let text = random_group_query_text(&mut rng);
         let query = parse_query(&text, &mut it).unwrap_or_else(|e| {
             panic!("seed {seed}: generated query failed to parse: {e}\n{text}")
@@ -677,18 +680,39 @@ fn property_indexed_equals_linear_on_random_group_queries() {
         );
         // Rewriting is deterministic per query.
         assert_eq!(indexed, IndexedRewriter::new(&store).rewrite_query(&query));
-        // Dense dispatch must serve the same answers — complex rules (and
-        // their pooled guard/filter templates) included, no silent
-        // divergence between the frozen pools and the hash fallback.
-        assert!(
-            store.build_dense_index(it.symbol_bound()),
-            "seed {seed}: dense index unexpectedly declined"
-        );
-        assert_eq!(
-            indexed,
-            IndexedRewriter::new(&store).rewrite_query(&query),
-            "seed {seed}: dense and hash dispatch disagree"
-        );
+    }
+}
+
+#[test]
+fn concurrent_first_lookups_through_an_unfrozen_store() {
+    for seed in 1..=8u64 {
+        let mut it = Interner::new();
+        let store = Arc::new(random_store(&mut Rng(seed * 0x2545_f491), &mut it));
+        // The expected rewrites come from a twin store (same seed, same
+        // interner, so the same rule ids and symbols): `LinearRewriter`
+        // reads its templates through the store too, and `store` must stay
+        // untouched until the threads race for its first lookup.
+        let twin = random_store(&mut Rng(seed * 0x2545_f491), &mut it);
+        let mut rng = Rng(seed);
+        let queries: Vec<Query> = (0..16)
+            .map(|_| parse_query(&random_group_query_text(&mut rng), &mut it).unwrap())
+            .collect();
+        let expected: Vec<Query> = queries
+            .iter()
+            .map(|q| LinearRewriter::new(&twin).rewrite_query(q))
+            .collect();
+        let start = Barrier::new(8);
+        thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let rw = IndexedRewriter::new(Arc::clone(&store));
+                    start.wait();
+                    for (q, want) in queries.iter().zip(&expected) {
+                        assert_eq!(&rw.rewrite_query(q), want, "seed {seed}");
+                    }
+                });
+            }
+        });
     }
 }
 
